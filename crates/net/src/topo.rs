@@ -84,7 +84,7 @@ impl TopologySpec {
             nodes = nodes.checked_mul(l).ok_or(ShapeError::TooManyNodes)?;
         }
         if nodes < 2 {
-            return Err(ShapeError::TooSmall);
+            return Err(ShapeError::TooSmall("torus"));
         }
         Ok(TopologySpec::Torus {
             dims,
@@ -100,7 +100,7 @@ impl TopologySpec {
     /// A crossbar switch over `nodes` endpoints.
     pub fn switch(nodes: usize) -> Result<TopologySpec, ShapeError> {
         if nodes < 2 {
-            return Err(ShapeError::TooSmall);
+            return Err(ShapeError::TooSmall("switch"));
         }
         if nodes > u32::MAX as usize {
             return Err(ShapeError::DimensionTooLarge(nodes));
@@ -133,7 +133,7 @@ impl TopologySpec {
             return Err(ShapeError::DimensionTooLarge(scale_up.max(scale_out)));
         }
         if scale_up * scale_out < 2 {
-            return Err(ShapeError::TooSmall);
+            return Err(ShapeError::TooSmall("hierarchical fabric"));
         }
         Ok(TopologySpec::Hierarchical {
             scale_up: scale_up as u16,

@@ -125,7 +125,7 @@ impl TorusShape {
             return Err(ShapeError::ZeroDimension);
         }
         if l * v * h < 2 {
-            return Err(ShapeError::TooSmall);
+            return Err(ShapeError::TooSmall("torus"));
         }
         Ok(TorusShape { l, v, h })
     }
@@ -298,8 +298,9 @@ impl fmt::Display for TorusShape {
 pub enum ShapeError {
     /// A dimension was zero.
     ZeroDimension,
-    /// The topology has fewer than two nodes.
-    TooSmall,
+    /// The named fabric (`torus`, `switch`, ...) has fewer than two
+    /// nodes.
+    TooSmall(&'static str),
     /// A torus needs between 1 and [`MAX_TORUS_DIMS`](crate::MAX_TORUS_DIMS)
     /// dimensions; this many were given.
     BadDimensionCount(usize),
@@ -313,7 +314,7 @@ impl fmt::Display for ShapeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ShapeError::ZeroDimension => f.write_str("torus dimensions must be nonzero"),
-            ShapeError::TooSmall => f.write_str("torus must contain at least two nodes"),
+            ShapeError::TooSmall(fabric) => write!(f, "{fabric} must contain at least two nodes"),
             ShapeError::BadDimensionCount(n) => {
                 write!(f, "torus needs 1..=6 dimensions, got {n}")
             }
@@ -442,7 +443,10 @@ mod tests {
             TorusShape::new(0, 2, 2).unwrap_err(),
             ShapeError::ZeroDimension
         );
-        assert_eq!(TorusShape::new(1, 1, 1).unwrap_err(), ShapeError::TooSmall);
+        assert_eq!(
+            TorusShape::new(1, 1, 1).unwrap_err(),
+            ShapeError::TooSmall("torus")
+        );
         assert_eq!(
             TorusShape::new(1, 1, 1).unwrap_err().to_string(),
             "torus must contain at least two nodes"

@@ -9,8 +9,8 @@
 //!   deserializable from a small TOML subset ([`toml`]; the build
 //!   environment is std-only, so the parser is hand-rolled),
 //! * [`grid`] — deterministic cartesian expansion into [`RunPoint`]s,
-//! * [`scheduler`] — the resident [`JobScheduler`]: a worker pool that
-//!   outlives a single grid, a `(tier, point)` [`Cache`], coalescing
+//! * [`scheduler`] — the resident [`JobScheduler`]: a helper pool that
+//!   outlives a single grid (the submitting thread runs cells too), a `(tier, point)` [`Cache`], coalescing
 //!   latest-generation-wins job submission, and an optional write-ahead
 //!   [`persist::Journal`],
 //! * [`bus`] — the in-process [`EventBus`] broadcasting typed

@@ -1192,6 +1192,49 @@ mod tests {
     }
 
     #[test]
+    fn journal_replay_counts_each_tier_once() {
+        let dir = std::env::temp_dir().join("ace-sweep-journal-tiers-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wal.journal");
+        let _ = std::fs::remove_file(&path);
+
+        // Hybrid fills both tiers: analytic triage of every cell, exact
+        // re-simulation of the selected ones.
+        let runner = SweepRunner::new();
+        let mut sc = tiny_collective();
+        sc.fidelity = crate::fidelity::Fidelity::Hybrid;
+        runner
+            .run(
+                &sc,
+                RunnerOptions {
+                    threads: 1,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+        let (total, exact, analytic) = runner.cache().tier_counts();
+        assert!(
+            exact > 0 && analytic > 0,
+            "{exact} exact, {analytic} analytic"
+        );
+        assert_eq!(total, exact + analytic);
+
+        // Every row journaled twice, as a cell re-executed after a lost
+        // cache would be: the replayed copy overwrites, never adds.
+        let mut journal = Journal::open(&path).unwrap();
+        for _ in 0..2 {
+            for (t, p, m) in runner.cache().entries() {
+                journal.append_row(t, &p, &m).unwrap();
+            }
+        }
+        drop(journal);
+        let replay = Journal::replay(&path).unwrap();
+        assert_eq!(replay.cache.tier_counts(), (total, exact, analytic));
+        assert_eq!(replay.cache.len(), total);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn journal_truncates_torn_tails_and_resumes() {
         let dir = std::env::temp_dir().join("ace-sweep-journal-torn-test");
         std::fs::create_dir_all(&dir).unwrap();

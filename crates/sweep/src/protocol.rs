@@ -95,20 +95,28 @@ impl Value {
     }
 }
 
-/// Escapes `s` as the body of a JSON string literal.
+/// Escapes `s` as the body of a JSON string literal. Runs of bytes that
+/// need no escape are copied whole: every escaped character is ASCII, so
+/// a match never lands inside a multi-byte UTF-8 sequence.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            _ => out.push_str(&format!("\\u{b:04x}")),
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out
 }
 
@@ -497,7 +505,7 @@ mod tests {
 
     #[test]
     fn escapes_survive_the_wire() {
-        let nasty = "line1\nline\\2 \"quoted\"\ttab\r";
+        let nasty = "line1\nline\\2 \"quoted\"\ttab\r\u{1}bell é";
         let line = request_line(&Request::Submit {
             toml: Some(nasty.into()),
             path: None,

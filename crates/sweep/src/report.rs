@@ -5,7 +5,10 @@
 //! formatting, rows in grid order. A parallel run therefore emits a CSV
 //! byte-identical to a single-threaded run of the same scenario.
 
+use std::fmt::{self, Write as _};
+
 use crate::grid::{PointKind, RunPoint};
+use crate::protocol::json_escape;
 use crate::runner::{RunResult, SweepOutcome};
 use crate::scenario::EngineSpec;
 use ace_net::NetworkParams;
@@ -80,152 +83,128 @@ pub fn human_bytes(bytes: u64) -> String {
     format!("{bytes}B")
 }
 
-/// One row's cell values in [`CSV_COLUMNS`] order.
-fn row_cells(r: &RunResult) -> Vec<String> {
-    let mut engine = String::new();
-    let mut op = String::new();
-    let mut payload = String::new();
-    let mut mem = String::new();
-    let mut sms = String::new();
-    let mut sram = String::new();
-    let mut fsm = String::new();
-    let mut config = String::new();
-    let mut workload = String::new();
-    let mut iters = String::new();
-    let mut arrival = String::new();
-    let mut arrival_rate = String::new();
-    let mut schedule = String::new();
-    let mut microbatches = String::new();
-    let mut serving_cells = vec![String::new(); 7];
-    match &r.point.kind {
+/// Emits one row's cells, in [`CSV_COLUMNS`] order, to `cell` (an empty
+/// cell is an inapplicable column). The one place that knows how each
+/// column is formatted: CSV writes the cells straight into its output,
+/// JSON names and types them.
+fn row_cells(r: &RunResult, cell: &mut dyn FnMut(fmt::Arguments<'_>)) {
+    fn blank(cell: &mut dyn FnMut(fmt::Arguments<'_>), n: usize) {
+        for _ in 0..n {
+            cell(format_args!(""));
+        }
+    }
+    let point = &r.point;
+    cell(format_args!("{}", point.topology));
+    cell(format_args!("{}", point.topology.nodes()));
+    // engine .. fsms, then config .. microbatches. Floats print with
+    // `Display`, which drops an integral value's trailing `.0` — what
+    // scenario authors wrote ("128") — and is deterministic.
+    match &point.kind {
         PointKind::Collective {
-            engine: spec,
-            op: o,
+            engine,
+            op,
             payload_bytes,
         } => {
-            engine = spec.family().name().to_string();
-            op = o.to_string();
-            payload = payload_bytes.to_string();
-            match *spec {
-                EngineSpec::Ideal => {}
+            cell(format_args!("{}", engine.family().name()));
+            cell(format_args!("{op}"));
+            cell(format_args!("{payload_bytes}"));
+            match *engine {
+                EngineSpec::Ideal => blank(cell, 4),
                 EngineSpec::Baseline { mem_gbps, comm_sms } => {
-                    mem = format_f64(mem_gbps);
-                    sms = comm_sms.to_string();
+                    cell(format_args!("{mem_gbps}"));
+                    cell(format_args!("{comm_sms}"));
+                    blank(cell, 2);
                 }
                 EngineSpec::Ace {
                     dma_mem_gbps,
                     sram_mb,
                     fsms,
                 } => {
-                    mem = format_f64(dma_mem_gbps);
-                    sram = sram_mb.to_string();
-                    fsm = fsms.to_string();
+                    cell(format_args!("{dma_mem_gbps}"));
+                    blank(cell, 1);
+                    cell(format_args!("{sram_mb}"));
+                    cell(format_args!("{fsms}"));
                 }
             }
+            blank(cell, 7);
         }
         PointKind::Training {
-            config: c,
-            workload: w,
+            config,
+            workload,
             iterations,
             ..
         } => {
-            config = c.to_string();
-            workload = w.to_string();
-            iters = iterations.to_string();
+            blank(cell, 7);
+            cell(format_args!("{config}"));
+            cell(format_args!("{workload}"));
+            cell(format_args!("{iterations}"));
+            blank(cell, 4);
         }
         PointKind::Serving {
-            config: c,
-            workload: w,
+            config,
+            workload,
             spec,
         } => {
-            config = c.to_string();
-            workload = w.to_string();
-            arrival = spec.arrival.to_string();
-            arrival_rate = format_f64(spec.rate_rps);
-            schedule = spec.schedule.to_string();
-            microbatches = spec.microbatches.to_string();
-            let s = &r.metrics.serving;
-            serving_cells = [
-                s.ttft_p50_us,
-                s.ttft_p95_us,
-                s.ttft_p99_us,
-                s.e2e_p50_us,
-                s.e2e_p95_us,
-                s.e2e_p99_us,
-                s.goodput_rps,
-            ]
-            .iter()
-            .map(|v| format!("{v:.3}"))
-            .collect();
+            blank(cell, 7);
+            cell(format_args!("{config}"));
+            cell(format_args!("{workload}"));
+            blank(cell, 1);
+            cell(format_args!("{}", spec.arrival));
+            cell(format_args!("{}", spec.rate_rps));
+            cell(format_args!("{}", spec.schedule));
+            cell(format_args!("{}", spec.microbatches));
         }
     }
     // `failed_links` / `degradation_pct` come from re-resolving the fault
     // plan against the row's topology — cheap, and spares RunResult a
     // field that only reports care about. Pristine rows short-circuit.
-    let (failed_links, degradation_pct) = if r.point.conditions.is_pristine() {
+    let (failed_links, degradation_pct) = if point.conditions.is_pristine() {
         (0, 0.0)
     } else {
-        match r
-            .point
+        match point
             .conditions
-            .resolve(r.point.topology, &NetworkParams::paper_default())
+            .resolve(point.topology, &NetworkParams::paper_default())
         {
             Ok(plan) => (plan.failed_links(), plan.degradation_pct()),
             Err(_) => (0, 0.0),
         }
     };
     let m = &r.metrics;
-    let mut cells = vec![
-        r.point.topology.to_string(),
-        r.point.topology.nodes().to_string(),
-        engine,
-        op,
-        payload,
-        mem,
-        sms,
-        sram,
-        fsm,
-        config,
-        workload,
-        iters,
-        arrival,
-        arrival_rate,
-        schedule,
-        microbatches,
-        r.point.conditions.faults.to_string(),
-        r.point.conditions.contention.to_string(),
-        r.point.conditions.straggler.to_string(),
-        failed_links.to_string(),
-        format!("{degradation_pct:.3}"),
-        format!("{:.3}", m.time_us),
-        m.completion_cycles.to_string(),
-        format!("{:.3}", m.gbps_per_npu),
-        m.mem_traffic_bytes.to_string(),
-        m.network_bytes.to_string(),
-        format!("{:.3}", m.compute_us),
-        format!("{:.3}", m.exposed_comm_us),
-    ];
-    cells.extend(serving_cells);
-    cells.extend([
-        m.past_schedules.to_string(),
-        r.fidelity.to_string(),
-        if r.cache_hit { "1" } else { "0" }.to_string(),
-        r.speedup_vs_baseline
-            .map(|s| format!("{s:.4}"))
-            .unwrap_or_default(),
-    ]);
-    cells
-}
-
-/// The attribution cells of one row, in [`ATTRIBUTION_COLUMNS`] order
-/// (which is [`ace_trace::Attribution::buckets`] order by construction).
-fn attribution_cells(r: &RunResult) -> Vec<String> {
-    r.metrics
-        .attribution
-        .buckets()
-        .iter()
-        .map(|(_, v)| v.to_string())
-        .collect()
+    cell(format_args!("{}", point.conditions.faults));
+    cell(format_args!("{}", point.conditions.contention));
+    cell(format_args!("{}", point.conditions.straggler));
+    cell(format_args!("{failed_links}"));
+    cell(format_args!("{degradation_pct:.3}"));
+    cell(format_args!("{:.3}", m.time_us));
+    cell(format_args!("{}", m.completion_cycles));
+    cell(format_args!("{:.3}", m.gbps_per_npu));
+    cell(format_args!("{}", m.mem_traffic_bytes));
+    cell(format_args!("{}", m.network_bytes));
+    cell(format_args!("{:.3}", m.compute_us));
+    cell(format_args!("{:.3}", m.exposed_comm_us));
+    if let PointKind::Serving { .. } = point.kind {
+        let s = &m.serving;
+        for v in [
+            s.ttft_p50_us,
+            s.ttft_p95_us,
+            s.ttft_p99_us,
+            s.e2e_p50_us,
+            s.e2e_p95_us,
+            s.e2e_p99_us,
+            s.goodput_rps,
+        ] {
+            cell(format_args!("{v:.3}"));
+        }
+    } else {
+        blank(cell, 7);
+    }
+    cell(format_args!("{}", m.past_schedules));
+    cell(format_args!("{}", r.fidelity));
+    cell(format_args!("{}", u8::from(r.cache_hit)));
+    match r.speedup_vs_baseline {
+        Some(s) => cell(format_args!("{s:.4}")),
+        None => blank(cell, 1),
+    }
 }
 
 /// Renders the outcome as CSV (header + one row per grid cell).
@@ -249,11 +228,19 @@ fn csv_impl(outcome: &SweepOutcome, attribution: bool) -> String {
     }
     out.push('\n');
     for r in &outcome.results {
-        let mut cells = row_cells(r);
+        // Every cell is written followed by a ','; the row's last one is
+        // replaced by the newline.
+        row_cells(r, &mut |cell| {
+            out.write_fmt(cell)
+                .expect("writing to a String cannot fail");
+            out.push(',');
+        });
         if attribution {
-            cells.extend(attribution_cells(r));
+            for (_, v) in r.metrics.attribution.buckets() {
+                write!(out, "{v},").expect("writing to a String cannot fail");
+            }
         }
-        out.push_str(&cells.join(","));
+        out.pop();
         out.push('\n');
     }
     out
@@ -263,22 +250,6 @@ fn format_f64(v: f64) -> String {
     // `Display` prints integral floats without a trailing `.0`, which is
     // what scenario authors wrote ("128"), and is deterministic.
     format!("{v}")
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn json_num(v: f64) -> String {
@@ -319,7 +290,8 @@ fn json_impl(outcome: &SweepOutcome, attribution: bool) -> String {
     out.push_str(&format!("  \"cache_hits\": {},\n", outcome.cache_hits));
     out.push_str("  \"results\": [\n");
     for (i, r) in outcome.results.iter().enumerate() {
-        let cells = row_cells(r);
+        let mut cells: Vec<String> = Vec::with_capacity(CSV_COLUMNS.len());
+        row_cells(r, &mut |cell| cells.push(cell.to_string()));
         let mut fields: Vec<String> = Vec::with_capacity(CSV_COLUMNS.len());
         for (name, cell) in CSV_COLUMNS.iter().zip(&cells) {
             if cell.is_empty() {
@@ -349,7 +321,10 @@ fn json_impl(outcome: &SweepOutcome, attribution: bool) -> String {
             }
         }
         if attribution {
-            for (name, cell) in ATTRIBUTION_COLUMNS.iter().zip(attribution_cells(r)) {
+            for (name, (_, cell)) in ATTRIBUTION_COLUMNS
+                .iter()
+                .zip(r.metrics.attribution.buckets())
+            {
                 fields.push(format!("\"{name}\": {cell}"));
             }
         }

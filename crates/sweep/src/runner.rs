@@ -177,9 +177,13 @@ impl SweepOutcome {
 /// never runs the same point twice — within a grid or across grids
 /// sharing a runner. The tier is part of the key: an analytic estimate
 /// must never be served where an exact result is expected.
+///
+/// Each tier has a map of its own (indexed by `tier as usize`), so the
+/// per-tier counts a resident service reports after every job are two
+/// `len()` calls, not a scan of everything it ever computed.
 #[derive(Debug, Default)]
 pub struct Cache {
-    map: Mutex<HashMap<(Tier, RunPoint), Metrics>>,
+    maps: Mutex<[HashMap<RunPoint, Metrics>; 2]>,
 }
 
 impl Cache {
@@ -190,10 +194,8 @@ impl Cache {
 
     /// Cached metrics for `point` in `tier`, if present.
     pub fn get_tier(&self, tier: Tier, point: &RunPoint) -> Option<Metrics> {
-        self.map
-            .lock()
-            .expect("cache lock")
-            .get(&(tier, point.clone()))
+        self.maps.lock().expect("cache lock")[tier as usize]
+            .get(point)
             .copied()
     }
 
@@ -204,10 +206,7 @@ impl Cache {
 
     /// Whether `point` is cached in `tier`.
     pub fn contains_tier(&self, tier: Tier, point: &RunPoint) -> bool {
-        self.map
-            .lock()
-            .expect("cache lock")
-            .contains_key(&(tier, point.clone()))
+        self.maps.lock().expect("cache lock")[tier as usize].contains_key(point)
     }
 
     /// Whether `point` is cached in the exact tier.
@@ -217,10 +216,7 @@ impl Cache {
 
     /// Stores metrics for `point` in `tier`.
     pub fn insert_tier(&self, tier: Tier, point: RunPoint, metrics: Metrics) {
-        self.map
-            .lock()
-            .expect("cache lock")
-            .insert((tier, point), metrics);
+        self.maps.lock().expect("cache lock")[tier as usize].insert(point, metrics);
     }
 
     /// Stores **exact** metrics for `point`.
@@ -230,7 +226,7 @@ impl Cache {
 
     /// Number of cached points (all tiers).
     pub fn len(&self) -> usize {
-        self.map.lock().expect("cache lock").len()
+        self.tier_counts().0
     }
 
     /// Whether the cache is empty.
@@ -241,19 +237,23 @@ impl Cache {
     /// `(total, exact, analytic)` entry counts — the figures carried by
     /// [`BusEvent::CacheStats`] and the daemon's `stats` reply.
     pub fn tier_counts(&self) -> (usize, usize, usize) {
-        let map = self.map.lock().expect("cache lock");
-        let exact = map.keys().filter(|(t, _)| *t == Tier::Exact).count();
-        (map.len(), exact, map.len() - exact)
+        let maps = self.maps.lock().expect("cache lock");
+        let exact = maps[Tier::Exact as usize].len();
+        let analytic = maps[Tier::Analytic as usize].len();
+        (exact + analytic, exact, analytic)
     }
 
     /// Snapshot of every cached `(tier, point, metrics)` triple, in
     /// unspecified order. The persistence layer sorts before writing.
     pub fn entries(&self) -> Vec<(Tier, RunPoint, Metrics)> {
-        self.map
-            .lock()
-            .expect("cache lock")
-            .iter()
-            .map(|((t, p), m)| (*t, p.clone(), *m))
+        let maps = self.maps.lock().expect("cache lock");
+        [Tier::Exact, Tier::Analytic]
+            .into_iter()
+            .flat_map(|t| {
+                maps[t as usize]
+                    .iter()
+                    .map(move |(p, m)| (t, p.clone(), *m))
+            })
             .collect()
     }
 }
@@ -261,7 +261,9 @@ impl Cache {
 /// Execution options.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunnerOptions {
-    /// Worker threads; `0` uses the machine's available parallelism.
+    /// Threads executing a job's cells, the submitting thread included
+    /// (`1` runs every cell on it); `0` uses the machine's available
+    /// parallelism.
     pub threads: usize,
     /// Worker threads *inside each exact simulation* (the
     /// domain-partitioned event loop); `0` or `1` runs the serial engine.
@@ -1032,6 +1034,14 @@ mod tests {
             e.completion_cycles, a.completion_cycles,
             "tiers should differ on {p:?}"
         );
+        // Each tier counts its own entries; overwriting a point in one
+        // tier moves neither count.
+        assert_eq!(runner.cache().tier_counts(), (6, 3, 3));
+        runner.cache().insert_tier(Tier::Exact, p.clone(), a);
+        assert_eq!(runner.cache().tier_counts(), (6, 3, 3));
+        assert_eq!(runner.cache().len(), 6);
+        assert_eq!(runner.cache().get_tier(Tier::Exact, p), Some(a));
+        assert_eq!(runner.cache().entries().len(), 6);
     }
 
     #[test]

@@ -1421,6 +1421,17 @@ mod tests {
         // Structural topology errors name the valid spellings.
         let e = Scenario::from_toml_str("topologies = [\"1x1x1\"]").unwrap_err();
         assert!(e.to_string().contains("at least two nodes"), "{e}");
+        // A fabric too small names itself, not the torus.
+        for (spec, fabric) in [("switch:1", "switch"), ("hier:1x1", "hierarchical fabric")] {
+            let e = Scenario::from_toml_str(&format!("topologies = [\"{spec}\"]"))
+                .unwrap_err()
+                .to_string();
+            assert!(
+                e.contains(&format!("{fabric} must contain at least two nodes")),
+                "{e}"
+            );
+            assert!(!e.contains("torus"), "{e}");
+        }
     }
 
     #[test]

@@ -2,14 +2,14 @@
 //!
 //! [`JobScheduler`] owns the three pieces of warm state a cold CLI run
 //! rebuilds from scratch every time: the `(tier, point)` result
-//! [`Cache`], a pool of worker threads that **outlives a single grid**,
+//! [`Cache`], a pool of helper threads that **outlives a single grid**,
 //! and the [`EventBus`] that broadcasts typed progress events. One-shot
 //! sweeps ([`crate::SweepRunner`]) and the long-lived daemon
 //! ([`crate::service::SweepService`]) are both thin clients of this
 //! type, so their results are byte-identical by construction: jobs are
 //! compiled scenarios expanded to [`RunPoint`]s, deduped against the
-//! cache, executed by the pool, and assembled **in grid order** exactly
-//! as the pre-refactor batch runner did.
+//! cache, executed by the submitting thread and the pool, and assembled
+//! **in grid order** exactly as the pre-refactor batch runner did.
 //!
 //! Scheduling model:
 //!
@@ -18,17 +18,22 @@
 //!   name on the bus (re-submitting a name supersedes the older
 //!   generation: latest-generation-wins coalescing).
 //! * [`JobScheduler::run_accepted`] drives the job on the submitting
-//!   thread: it queues per-tier batches of uncached cells, waits on its
-//!   bus subscription for their [`BusEvent::CellCompleted`] events
-//!   (forwarding every job event to the caller's `on_event` hook — this
-//!   is where streaming protocol messages and progress lines come from),
-//!   and assembles the outcome from the cache.
-//! * Workers claim cells under a single mutex, at most
-//!   `RunnerOptions::threads` concurrently per job, checking the
-//!   scenario's generation before each claim so a superseded job stops
-//!   within one cell. The pool grows on demand to the largest
-//!   parallelism any job has requested and idles on a condvar between
-//!   jobs.
+//!   thread: it queues per-tier batches of uncached cells, runs cells of
+//!   its own batch itself, and collects every [`BusEvent::CellCompleted`]
+//!   from its bus subscription (forwarding every job event to the
+//!   caller's `on_event` hook — this is where streaming protocol
+//!   messages and progress lines come from), blocking on it only when no
+//!   cell of its batch is left to claim. It then assembles the outcome
+//!   from the cache.
+//! * The submitting thread counts as one of a job's
+//!   `RunnerOptions::threads`: the pool grows on demand to one fewer
+//!   thread than the largest parallelism any job has requested (none for
+//!   `threads = 1`, which therefore hands no cell to another thread) and
+//!   idles on a condvar between jobs. Submitters and pool threads claim
+//!   cells under a single mutex — at most `threads` in flight per job —
+//!   and run them through the same code, checking the scenario's
+//!   generation before each claim so a superseded job stops within one
+//!   cell.
 //!
 //! When a [`Journal`] is installed ([`JobScheduler::set_journal`]),
 //! every freshly executed cell is appended and flushed before its
@@ -230,12 +235,12 @@ impl JobScheduler {
         })
     }
 
-    /// Runs an accepted job to completion on the calling thread, driving
-    /// the worker pool. Every bus event of this job — `JobAccepted`,
-    /// per-batch `BatchStarted`, streaming `CellCompleted`s,
-    /// `JobFinished`, and the closing `CacheStats` — is also forwarded to
-    /// `on_event` in order, which is how the CLI renders progress and the
-    /// daemon streams protocol messages.
+    /// Runs an accepted job to completion on the calling thread, which
+    /// executes cells alongside the pool. Every bus event of this job —
+    /// `JobAccepted`, per-batch `BatchStarted`, streaming
+    /// `CellCompleted`s, `JobFinished`, and the closing `CacheStats` — is
+    /// also forwarded to `on_event` in order, which is how the CLI renders
+    /// progress and the daemon streams protocol messages.
     ///
     /// # Errors
     ///
@@ -352,7 +357,17 @@ impl JobScheduler {
         let points = grid::expand(scenario);
         let baseline_points = baseline_points(scenario);
         let work = self.queue_work(points.iter().chain(baseline_points.iter()), tier);
-        self.run_batch(ticket, tier, &work, max_workers, sim_threads, sub, on_event)?;
+        let cached = self.cached_unique(tier, points.iter().chain(&baseline_points), &work);
+        self.run_batch(
+            ticket,
+            tier,
+            &work,
+            cached,
+            max_workers,
+            sim_threads,
+            sub,
+            on_event,
+        )?;
 
         let tiers = vec![tier; points.len()];
         let queued: HashSet<RunPoint> = work.iter().cloned().collect();
@@ -394,10 +409,13 @@ impl JobScheduler {
 
         // ---- Tier 1: analytic triage of every unique point. ----------
         let work_a = self.queue_work(points.iter().chain(baseline_pts.iter()), Tier::Analytic);
+        let cached_a =
+            self.cached_unique(Tier::Analytic, points.iter().chain(&baseline_pts), &work_a);
         self.run_batch(
             ticket,
             Tier::Analytic,
             &work_a,
+            cached_a,
             max_workers,
             sim_threads,
             sub,
@@ -429,10 +447,14 @@ impl JobScheduler {
             .zip(&keep)
             .filter_map(|(p, &k)| k.then_some(p));
         let work_e = self.queue_work(selected.chain(baseline_pts.iter()), Tier::Exact);
+        // `cached` counts the whole grid's exact-tier hits, not only the
+        // selected cells'.
+        let cached_e = self.cached_unique(Tier::Exact, points.iter().chain(&baseline_pts), &work_e);
         self.run_batch(
             ticket,
             Tier::Exact,
             &work_e,
+            cached_e,
             max_workers,
             sim_threads,
             sub,
@@ -458,20 +480,24 @@ impl JobScheduler {
         })
     }
 
-    /// Queues one batch on the pool and waits for its completion events,
-    /// forwarding them (and the leading `BatchStarted`) to `on_event`.
+    /// Queues one batch and runs it to completion: the submitting thread
+    /// claims and executes cells of its own batch while the pool helps
+    /// (up to `max_workers` cells in flight in total), and blocks on its
+    /// subscription only when nothing is claimable. Every completion —
+    /// its own or a pool worker's — arrives as a bus event and is
+    /// forwarded, after the leading `BatchStarted`, to `on_event`.
     #[allow(clippy::too_many_arguments)]
     fn run_batch(
         &self,
         ticket: &JobTicket,
         tier: Tier,
         work: &[RunPoint],
+        cached: usize,
         max_workers: usize,
         sim_threads: usize,
         sub: &Subscription,
         on_event: &mut dyn FnMut(&BusEvent),
     ) -> Result<(), JobError> {
-        let cached = self.cached_unique(ticket, tier, work);
         self.emit(
             sub,
             on_event,
@@ -494,11 +520,13 @@ impl JobScheduler {
             }
             return Ok(());
         }
-        self.ensure_workers(max_workers.min(work.len()));
+        // The submitting thread is one of the batch's `max_workers`.
+        self.ensure_workers(max_workers.min(work.len()) - 1);
+        let batch = self.shared.next_batch.fetch_add(1, Ordering::Relaxed);
         {
             let mut state = self.shared.state.lock().expect("scheduler state");
             state.push(Batch {
-                id: self.shared.next_batch.fetch_add(1, Ordering::Relaxed),
+                id: batch,
                 job: ticket.job,
                 scenario: ticket.scenario.name.clone(),
                 generation: ticket.generation,
@@ -516,8 +544,23 @@ impl JobScheduler {
 
         let mut seen = 0usize;
         while seen < work.len() {
-            let Some(ev) = sub.recv() else {
-                return Err(JobError::Failed("event bus closed".into()));
+            let ev = match sub.try_iter().next() {
+                Some(ev) => ev,
+                None => {
+                    let claim = {
+                        let mut state = self.shared.state.lock().expect("scheduler state");
+                        claim_next(&self.shared, &mut state, Some(batch))
+                    };
+                    match claim {
+                        Some(claim) => {
+                            run_claim(&self.shared, claim);
+                            continue;
+                        }
+                        None => sub
+                            .recv()
+                            .ok_or_else(|| JobError::Failed("event bus closed".into()))?,
+                    }
+                }
             };
             match &ev {
                 BusEvent::CellCompleted { job, tier: t, .. }
@@ -541,22 +584,23 @@ impl JobScheduler {
         Ok(())
     }
 
-    /// Unique cells of the batch's *wanted set* already in the cache —
-    /// the `cached` figure of `BatchStarted`. `work` holds the queued
-    /// remainder, so wanted = grid-unique = queued + cached; computed
-    /// from the grid to count each unique point once.
-    fn cached_unique(&self, ticket: &JobTicket, tier: Tier, work: &[RunPoint]) -> usize {
+    /// Unique cells of a batch's *wanted set* already in the cache — the
+    /// `cached` figure of `BatchStarted`. `work` holds the queued
+    /// remainder, so wanted = unique = queued + cached; each unique point
+    /// counts once.
+    fn cached_unique<'a>(
+        &self,
+        tier: Tier,
+        wanted: impl Iterator<Item = &'a RunPoint>,
+        work: &[RunPoint],
+    ) -> usize {
         let queued: HashSet<&RunPoint> = work.iter().collect();
-        let points = grid::expand(&ticket.scenario);
-        let baseline = baseline_points(&ticket.scenario);
         let mut seen: HashSet<&RunPoint> = HashSet::new();
-        let mut cached = 0usize;
-        for p in points.iter().chain(baseline.iter()) {
-            if seen.insert(p) && !queued.contains(p) && self.shared.cache.contains_tier(tier, p) {
-                cached += 1;
-            }
-        }
-        cached
+        wanted
+            .filter(|p| {
+                seen.insert(p) && !queued.contains(p) && self.shared.cache.contains_tier(tier, p)
+            })
+            .count()
     }
 
     /// The work list for one tier: every unique point of `wanted` not
@@ -677,9 +721,8 @@ struct Claim {
     sim_threads: usize,
 }
 
-/// The resident worker: claim a cell, execute it, store + journal the
-/// result, publish the completion event; idle on the condvar when no
-/// batch has claimable work.
+/// The resident pool worker: claims and runs cells of any batch, idling
+/// on the condvar when nothing is claimable.
 fn worker_loop(shared: &Shared) {
     loop {
         let claim = {
@@ -688,106 +731,114 @@ fn worker_loop(shared: &Shared) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                // Retire batches nobody will touch again.
-                state.retain(|b| {
-                    let drained = b.completed == b.work.len();
-                    let dead = b.cancelled && b.in_flight == 0;
-                    !(drained || dead)
-                });
-                let mut superseded: Option<BusEvent> = None;
-                let mut found: Option<Claim> = None;
-                for b in state.iter_mut() {
-                    if b.cancelled {
-                        continue;
-                    }
-                    if !shared.bus.is_current(&b.scenario, b.generation) {
-                        b.cancelled = true;
-                        superseded = Some(BusEvent::JobSuperseded {
-                            job: b.job,
-                            scenario: b.scenario.clone(),
-                            generation: b.generation,
-                        });
-                        break;
-                    }
-                    if b.next < b.work.len() && b.in_flight < b.max_workers {
-                        let index = b.next;
-                        b.next += 1;
-                        b.in_flight += 1;
-                        found = Some(Claim {
-                            batch: b.id,
-                            job: b.job,
-                            tier: b.tier,
-                            work: Arc::clone(&b.work),
-                            index,
-                            total: b.work.len(),
-                            sim_threads: b.sim_threads,
-                        });
-                        break;
-                    }
-                }
-                if let Some(ev) = superseded {
-                    drop(state);
-                    shared.bus.publish(&ev);
-                    state = shared.state.lock().expect("scheduler state");
-                    continue;
-                }
-                match found {
+                match claim_next(shared, &mut state, None) {
                     Some(c) => break c,
                     None => state = shared.work_ready.wait(state).expect("scheduler state"),
                 }
             }
         };
-
-        let point = &claim.work[claim.index];
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            execute_tier_with(point, claim.tier, claim.sim_threads)
-        }));
-        match outcome {
-            Ok(metrics) => {
-                shared.cache.insert_tier(claim.tier, point.clone(), metrics);
-                if let Some(journal) = shared.journal.lock().expect("journal lock").as_mut() {
-                    // A journal write failure must not lose the in-memory
-                    // result; the service surfaces it via stats instead.
-                    let _ = journal.append_row(claim.tier, point, &metrics);
-                }
-                let completed = {
-                    let mut state = shared.state.lock().expect("scheduler state");
-                    if let Some(b) = state.iter_mut().find(|b| b.id == claim.batch) {
-                        b.in_flight -= 1;
-                        b.completed += 1;
-                        b.completed
-                    } else {
-                        0
-                    }
-                };
-                shared.bus.publish(&BusEvent::CellCompleted {
-                    job: claim.job,
-                    tier: claim.tier,
-                    index: completed,
-                    total: claim.total,
-                    point: point.clone(),
-                    metrics: Box::new(metrics),
-                });
-            }
-            Err(panic) => {
-                let error = panic_text(panic.as_ref());
-                {
-                    let mut state = shared.state.lock().expect("scheduler state");
-                    if let Some(b) = state.iter_mut().find(|b| b.id == claim.batch) {
-                        b.in_flight -= 1;
-                        b.cancelled = true;
-                    }
-                }
-                shared.bus.publish(&BusEvent::CellFailed {
-                    job: claim.job,
-                    tier: claim.tier,
-                    label: point.label(),
-                    error,
-                });
-            }
-        }
-        shared.work_ready.notify_all();
+        run_claim(shared, claim);
     }
+}
+
+/// Claims the next runnable cell — of batch `only_batch` alone when given
+/// — from the locked scheduler state. On the way it retires batches
+/// nobody will touch again and cancels those of a superseded generation,
+/// publishing their `JobSuperseded` (the bus never takes the state lock,
+/// so publishing under it cannot deadlock). `None` when nothing is
+/// claimable right now.
+fn claim_next(shared: &Shared, state: &mut Vec<Batch>, only_batch: Option<u64>) -> Option<Claim> {
+    state.retain(|b| {
+        let drained = b.completed == b.work.len();
+        let dead = b.cancelled && b.in_flight == 0;
+        !(drained || dead)
+    });
+    for b in state.iter_mut() {
+        if b.cancelled || only_batch.is_some_and(|id| id != b.id) {
+            continue;
+        }
+        if !shared.bus.is_current(&b.scenario, b.generation) {
+            b.cancelled = true;
+            shared.bus.publish(&BusEvent::JobSuperseded {
+                job: b.job,
+                scenario: b.scenario.clone(),
+                generation: b.generation,
+            });
+            continue;
+        }
+        if b.next < b.work.len() && b.in_flight < b.max_workers {
+            let index = b.next;
+            b.next += 1;
+            b.in_flight += 1;
+            return Some(Claim {
+                batch: b.id,
+                job: b.job,
+                tier: b.tier,
+                work: Arc::clone(&b.work),
+                index,
+                total: b.work.len(),
+                sim_threads: b.sim_threads,
+            });
+        }
+    }
+    None
+}
+
+/// Runs one claimed cell on the calling thread — a pool worker or the
+/// job's submitter: execute, store in the cache, append and flush the
+/// journal row, then publish the completion event (in that order, so a
+/// published cell is always durable). A panicking executor cancels the
+/// batch and publishes `CellFailed` instead.
+fn run_claim(shared: &Shared, claim: Claim) {
+    let point = &claim.work[claim.index];
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        execute_tier_with(point, claim.tier, claim.sim_threads)
+    }));
+    match outcome {
+        Ok(metrics) => {
+            shared.cache.insert_tier(claim.tier, point.clone(), metrics);
+            if let Some(journal) = shared.journal.lock().expect("journal lock").as_mut() {
+                // A journal write failure must not lose the in-memory
+                // result; the service surfaces it via stats instead.
+                let _ = journal.append_row(claim.tier, point, &metrics);
+            }
+            let completed = {
+                let mut state = shared.state.lock().expect("scheduler state");
+                if let Some(b) = state.iter_mut().find(|b| b.id == claim.batch) {
+                    b.in_flight -= 1;
+                    b.completed += 1;
+                    b.completed
+                } else {
+                    0
+                }
+            };
+            shared.bus.publish(&BusEvent::CellCompleted {
+                job: claim.job,
+                tier: claim.tier,
+                index: completed,
+                total: claim.total,
+                point: point.clone(),
+                metrics: Box::new(metrics),
+            });
+        }
+        Err(panic) => {
+            let error = panic_text(panic.as_ref());
+            {
+                let mut state = shared.state.lock().expect("scheduler state");
+                if let Some(b) = state.iter_mut().find(|b| b.id == claim.batch) {
+                    b.in_flight -= 1;
+                    b.cancelled = true;
+                }
+            }
+            shared.bus.publish(&BusEvent::CellFailed {
+                job: claim.job,
+                tier: claim.tier,
+                label: point.label(),
+                error,
+            });
+        }
+    }
+    shared.work_ready.notify_all();
 }
 
 /// Renders a panic payload as text.
@@ -1038,6 +1089,156 @@ mod tests {
             )
             .unwrap();
         assert_eq!(out.executed, 3);
+    }
+
+    fn one_thread() -> RunnerOptions {
+        RunnerOptions {
+            threads: 1,
+            ..Default::default()
+        }
+    }
+
+    fn pool_workers(sched: &JobScheduler) -> usize {
+        sched.workers.lock().expect("worker list").len()
+    }
+
+    #[test]
+    fn single_thread_jobs_run_on_the_submitting_thread() {
+        let sched = JobScheduler::new();
+        let out = sched
+            .run_job(&tiny("caller-runs"), one_thread(), &mut |_| {})
+            .unwrap();
+        assert_eq!(out.executed, 3);
+        assert!(format!("{sched:?}").contains("workers: 0"), "{sched:?}");
+        // The submitter counts as one of a job's threads: two threads
+        // take one pool worker.
+        let mut sc = tiny("one-helper");
+        sc.payload_bytes = vec![512 * 1024];
+        let out = sched
+            .run_job(
+                &sc,
+                RunnerOptions {
+                    threads: 2,
+                    ..Default::default()
+                },
+                &mut |_| {},
+            )
+            .unwrap();
+        assert_eq!(out.executed, 3);
+        assert_eq!(pool_workers(&sched), 1);
+    }
+
+    #[test]
+    fn a_panicking_cell_fails_the_job_when_the_submitter_runs_it() {
+        let sched = JobScheduler::new();
+        let mut sc = tiny("panics");
+        // Validation accepts the spelling, but the 2-node torus has too
+        // few cables for three kills: the executor panics.
+        sc.faults = vec!["kill:3@seed:1".parse().unwrap()];
+        let mut failed = Vec::new();
+        let err = sched
+            .run_job(&sc, one_thread(), &mut |ev| {
+                if let BusEvent::CellFailed { error, .. } = ev {
+                    failed.push(error.clone());
+                }
+            })
+            .unwrap_err();
+        assert!(
+            matches!(&err, JobError::Failed(msg) if msg.contains("NotEnoughLinks")),
+            "{err:?}"
+        );
+        assert_eq!(failed.len(), 1, "{failed:?}");
+        assert_eq!(pool_workers(&sched), 0);
+        // The scheduler stays usable after the failure.
+        assert_eq!(
+            sched
+                .run_job(&tiny("after-panic"), one_thread(), &mut |_| {})
+                .unwrap()
+                .executed,
+            3
+        );
+    }
+
+    #[test]
+    fn supersedes_stop_a_job_the_submitter_is_running() {
+        // A newer generation arriving after the first cell — through
+        // `accept` (which cancels eagerly) or as a bare generation bump
+        // (noticed at the submitter's next claim) — stops the job there.
+        for eager in [true, false] {
+            let sched = JobScheduler::new();
+            let sc = tiny("superseded");
+            let mut cells = 0;
+            let mut superseded = false;
+            let err = sched
+                .run_job(&sc, one_thread(), &mut |ev| match ev {
+                    BusEvent::CellCompleted { .. } => {
+                        cells += 1;
+                        if eager {
+                            sched.accept(&sc).unwrap();
+                        } else {
+                            sched.bus().begin_generation(&sc.name);
+                        }
+                    }
+                    BusEvent::JobSuperseded { .. } => superseded = true,
+                    _ => {}
+                })
+                .unwrap_err();
+            assert_eq!(err, JobError::Superseded, "eager: {eager}");
+            assert!(superseded, "eager: {eager}");
+            assert_eq!(cells, 1, "eager: {eager}");
+            assert_eq!(pool_workers(&sched), 0);
+        }
+    }
+
+    #[test]
+    fn concurrent_jobs_give_byte_identical_csvs() {
+        // Disjoint grids, so neither job's rows turn into cache hits of
+        // the other's.
+        let grid = |name: &str, payload: u64| {
+            let mut sc = tiny(name);
+            sc.engines = vec![
+                EngineFamily::Ideal,
+                EngineFamily::Baseline,
+                EngineFamily::Ace,
+            ];
+            sc.payload_bytes = vec![payload, 2 * payload];
+            sc
+        };
+        let jobs = [("left", 64 * 1024), ("right", 1024 * 1024)];
+        let two = RunnerOptions {
+            threads: 2,
+            ..Default::default()
+        };
+        let serial: Vec<String> = jobs
+            .iter()
+            .map(|&(name, payload)| {
+                let out = JobScheduler::new()
+                    .run_job(&grid(name, payload), one_thread(), &mut |_| {})
+                    .unwrap();
+                crate::report::to_csv(&out)
+            })
+            .collect();
+        let sched = JobScheduler::new();
+        let start = std::sync::Barrier::new(jobs.len());
+        let concurrent: Vec<String> = std::thread::scope(|s| {
+            let handles: Vec<_> = jobs
+                .iter()
+                .map(|&(name, payload)| {
+                    let (sched, start, sc) = (&sched, &start, grid(name, payload));
+                    s.spawn(move || {
+                        start.wait();
+                        let out = sched.run_job(&sc, two, &mut |_| {}).unwrap();
+                        crate::report::to_csv(&out)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("job thread"))
+                .collect()
+        });
+        assert_eq!(serial, concurrent);
+        assert_eq!(pool_workers(&sched), 1);
     }
 
     #[test]

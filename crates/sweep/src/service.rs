@@ -38,8 +38,9 @@ use crate::scheduler::{JobError, JobScheduler};
 /// How the daemon should execute jobs by default.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceOptions {
-    /// Default worker threads per job (`0` = machine parallelism);
-    /// overridable per submission.
+    /// Default threads per job, the connection's own thread included
+    /// (`1` = no pool thread; `0` = machine parallelism); overridable
+    /// per submission.
     pub threads: usize,
     /// Worker threads inside each exact simulation (`0`/`1` = serial
     /// engine). Byte-identical results either way; see

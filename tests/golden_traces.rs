@@ -170,3 +170,61 @@ fn fig09a_smoke_json_matches_golden() {
     .expect("valid scenario");
     check_golden("fig09a_smoke.json", &report::to_json(&out));
 }
+
+/// One small scenario per sweep mode, each run to a [`SweepOutcome`].
+fn run_toml(toml: &str) -> ace_platform::sweep::SweepOutcome {
+    let sc = Scenario::from_toml_str(toml).expect("valid scenario");
+    run_scenario(
+        &sc,
+        RunnerOptions {
+            threads: 1,
+            ..Default::default()
+        },
+    )
+    .expect("valid scenario")
+}
+
+/// Rows of every kind the report emitters format: one collective row per
+/// engine family, a faulted row whose `failed_links` / `degradation_pct`
+/// are non-zero and whose `speedup_vs_baseline` is set, a training row
+/// and a serving row with its latency columns. Pins the CSV/JSON
+/// formatting of every column, not only the collective ones.
+fn all_modes_outcome() -> ace_platform::sweep::SweepOutcome {
+    let mut out = run_toml(
+        "name = \"all-modes\"\nmode = \"collective\"\n\
+         topologies = [\"4x2x2\"]\nengines = [\"ideal\", \"baseline\", \"ace\"]\n\
+         ops = [\"all-reduce\"]\npayloads = [\"1MB\"]\nmem_gbps = [128]\ncomm_sms = [6]\n\
+         [baseline]\nengine = \"ideal\"\n",
+    );
+    for toml in [
+        "name = \"faulted\"\nmode = \"collective\"\nfidelity = \"analytic\"\n\
+         topologies = [\"4x4\"]\nengines = [\"ace\"]\nops = [\"all-reduce\"]\n\
+         payloads = [\"2MB\"]\nfaults = [\"kill:1@seed:42\"]\ncontention = [\"uniform:8\"]\n\
+         [baseline]\nengine = \"baseline\"\nmem_gbps = 128\ncomm_sms = 6\n",
+        "name = \"training\"\nmode = \"training\"\nfidelity = \"analytic\"\n\
+         topologies = [\"4x2x2\"]\nconfigs = [\"ACE\"]\nworkloads = [\"resnet50\"]\n\
+         iterations = 1\n",
+        "name = \"serving\"\nmode = \"serving\"\nfidelity = \"analytic\"\n\
+         topologies = [\"4x4\"]\nconfigs = [\"ace\"]\nworkloads = [\"transformer\"]\n\
+         arrival = \"poisson\"\narrival_rates = [1500.0]\nschedules = [\"1f1b\"]\n\
+         microbatches = [4]\nstages = 4\nrequests = 12\nseed = 1\nprompt_tokens = 64\n\
+         decode_tokens = 2\ntoken_budget = 256\n",
+    ] {
+        out.results.extend(run_toml(toml).results);
+    }
+    out
+}
+
+#[test]
+fn all_modes_reports_match_golden() {
+    let out = all_modes_outcome();
+    check_golden("all_modes.csv", &report::to_csv(&out));
+    check_golden(
+        "all_modes_attribution.csv",
+        &report::to_csv_with_attribution(&out),
+    );
+    check_golden(
+        "all_modes_attribution.json",
+        &report::to_json_with_attribution(&out),
+    );
+}
